@@ -5,9 +5,12 @@ A structured (AST-based) equivalent of DynamoDB's expression strings:
 - **conditions** evaluate against an item (possibly ``None`` for a missing
   item) and return a bool — used for conditional writes, query filters, and
   scan filters;
-- **updates** mutate an item in place — ``SET`` (with arithmetic,
+- **updates** mutate an item — ``SET`` (with arithmetic,
   ``if_not_exists`` and ``list_append`` operands), ``REMOVE``, ``ADD`` and
-  ``DELETE``.
+  ``DELETE``. Applied with an ``owned`` record (copy-on-write), an
+  action copies each container along its path before changing it, so
+  a draft that shares subtrees with a stored row never changes that
+  row; each action also reports the exact change in the item's size.
 
 Paths address nested attributes: ``path("RecentWrites", log_key)`` is the
 map member ``RecentWrites.<log_key>``. Beldi's linked DAAL relies on exactly
@@ -22,7 +25,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.item import compare_values, copy_value, validate_value
+from repro.kvstore.item import (
+    compare_values,
+    copy_value,
+    ingest_value,
+    item_size,
+    value_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -62,53 +71,84 @@ class Path:
                 node = node[segment]
         return True, node
 
-    def set(self, item: dict, value: Any) -> None:
-        """Set the path in ``item``, creating intermediate maps as needed."""
+    def set(self, item: dict, value: Any,
+            owned: Optional[dict] = None) -> Optional[int]:
+        """Set the path in ``item``, creating intermediate maps as needed.
+
+        Returns the change in ``item_size(item)`` not counting ``value``'s
+        own size, or ``None`` when intermediate maps had to be created.
+        ``owned`` enables copy-on-write (see :func:`_own`).
+        """
+        node, created = self._parent_for_write(item, owned)
+        last = self.segments[-1]
+        if isinstance(last, str):
+            if not isinstance(node, dict):
+                raise ValidationError(f"cannot set {last!r} on non-map")
+            if last in node:
+                delta = -value_size(node[last])
+            else:
+                delta = self._entry_overhead(last)
+            node[last] = value
+        else:
+            if not isinstance(node, list) or not (0 <= last < len(node)):
+                raise ValidationError(f"list index {last} out of range")
+            delta = -value_size(node[last])
+            node[last] = value
+        return None if created else delta
+
+    def remove(self, item: dict, owned: Optional[dict] = None) -> int:
+        """Remove the path from ``item``; missing paths are a no-op.
+
+        Returns the (non-positive) change in ``item_size(item)``.
+        """
+        present, old = self.get(item)
+        if not present:
+            return 0
+        node, _created = self._parent_for_write(item, owned)
+        last = self.segments[-1]
+        node.pop(last)
+        return -(self._entry_overhead(last) + value_size(old))
+
+    def _entry_overhead(self, last: Union[str, int]) -> int:
+        """Bytes the last segment's entry costs beside its value."""
+        if isinstance(last, int):
+            return 1
+        name_bytes = len(last.encode("utf-8"))
+        return name_bytes if len(self.segments) == 1 else name_bytes + 1
+
+    def _parent_for_write(self, item: dict,
+                          owned: Optional[dict]) -> tuple[Any, bool]:
+        """Walk to the container the last segment addresses.
+
+        Each container on the way is made writable by :func:`_own`. A
+        missing or non-container map member becomes a new map; the
+        second return value says whether that happened.
+        """
         node: Any = item
+        created = False
         for segment in self.segments[:-1]:
             if isinstance(segment, str):
                 if not isinstance(node, dict):
                     raise ValidationError(
                         f"cannot descend into non-map at {segment!r}")
-                if segment not in node or not isinstance(
-                        node[segment], (dict, list)):
-                    node[segment] = {}
-                node = node[segment]
+                child = node.get(segment)
+                if isinstance(child, (dict, list)):
+                    child = _own(child, owned)
+                else:
+                    child = _own({}, owned)
+                    created = True
+                node[segment] = child
             else:
                 if not isinstance(node, list) or not (
                         0 <= segment < len(node)):
                     raise ValidationError(
                         f"list index {segment} out of range")
-                node = node[segment]
-        last = self.segments[-1]
-        if isinstance(last, str):
-            if not isinstance(node, dict):
-                raise ValidationError(f"cannot set {last!r} on non-map")
-            node[last] = value
-        else:
-            if not isinstance(node, list) or not (0 <= last < len(node)):
-                raise ValidationError(f"list index {last} out of range")
-            node[last] = value
-
-    def remove(self, item: dict) -> None:
-        """Remove the path from ``item``; missing paths are a no-op."""
-        node: Any = item
-        for segment in self.segments[:-1]:
-            if isinstance(segment, str):
-                if not isinstance(node, dict) or segment not in node:
-                    return
-                node = node[segment]
-            else:
-                if not isinstance(node, list) or not (
-                        0 <= segment < len(node)):
-                    return
-                node = node[segment]
-        last = self.segments[-1]
-        if isinstance(last, str) and isinstance(node, dict):
-            node.pop(last, None)
-        elif isinstance(last, int) and isinstance(node, list):
-            if 0 <= last < len(node):
-                node.pop(last)
+                child = node[segment]
+                if isinstance(child, (dict, list)):
+                    child = _own(child, owned)
+                    node[segment] = child
+            node = child
+        return node, created
 
     def __str__(self) -> str:
         return ".".join(str(s) for s in self.segments)
@@ -117,6 +157,22 @@ class Path:
 def path(*segments: Union[str, int]) -> Path:
     """Convenience constructor: ``path("RecentWrites", key)``."""
     return Path(tuple(segments))
+
+
+def _own(container: Any, owned: Optional[dict]) -> Any:
+    """``container``, or a shallow copy of it, that an update may change.
+
+    ``owned`` maps ``id()`` to every container the current update has
+    created or copied; ``None`` means the whole item is the caller's to
+    change in place. Containers outside ``owned`` may be shared with a
+    stored row, so they are copied (and recorded) before any change.
+    The map holds the objects themselves so an id cannot be reused.
+    """
+    if owned is None or id(container) in owned:
+        return container
+    copied = container.copy()
+    owned[id(copied)] = copied
+    return copied
 
 
 def _as_path(value: Union[str, Path]) -> Path:
@@ -345,6 +401,11 @@ class Not(Condition):
 
 class Operand:
     def resolve(self, item: dict) -> Any:
+        """The operand's value against ``item``.
+
+        The result may alias the operand's constant or a value inside
+        ``item``: :class:`Set` validates and copies it before storing.
+        """
         raise NotImplementedError
 
 
@@ -353,8 +414,7 @@ class Value(Operand):
     value: Any
 
     def resolve(self, item: dict) -> Any:
-        validate_value(self.value)
-        return copy_value(self.value)
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -365,7 +425,7 @@ class PathRef(Operand):
         present, value = self.ref.get(item)
         if not present:
             raise ValidationError(f"path {self.ref} missing during update")
-        return copy_value(value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -376,7 +436,7 @@ class IfNotExists(Operand):
     def resolve(self, item: dict) -> Any:
         present, value = self.ref.get(item)
         if present:
-            return copy_value(value)
+            return value
         return self.default.resolve(item)
 
 
@@ -424,8 +484,23 @@ def _as_operand(value: Any) -> Operand:
 # ---------------------------------------------------------------------------
 
 class UpdateAction:
-    def apply(self, item: dict) -> None:
+    def apply(self, item: dict, owned: Optional[dict] = None
+              ) -> Optional[int]:
+        """Apply the action to ``item``.
+
+        Returns the exact change in ``item_size(item)``, or ``None``
+        when it is not known. ``owned=None`` changes ``item`` in place;
+        otherwise ``item`` is a fresh top-level copy of a stored row and
+        nested containers are copied before they change (see
+        :func:`_own`). Actions defined outside this module need only
+        accept ``item``: :func:`apply_updates_cow` hands them a deep
+        copy.
+        """
         raise NotImplementedError
+
+
+def _plus_size(delta: Optional[int], value: Any) -> Optional[int]:
+    return None if delta is None else delta + value_size(value)
 
 
 class Set(UpdateAction):
@@ -435,10 +510,11 @@ class Set(UpdateAction):
         self.path = _as_path(target)
         self.operand = _as_operand(value)
 
-    def apply(self, item: dict) -> None:
-        resolved = self.operand.resolve(item)
-        validate_value(resolved)
-        self.path.set(item, resolved)
+    def apply(self, item: dict, owned: Optional[dict] = None
+              ) -> Optional[int]:
+        value, value_bytes = ingest_value(self.operand.resolve(item))
+        delta = self.path.set(item, value, owned)
+        return None if delta is None else delta + value_bytes
 
 
 class Remove(UpdateAction):
@@ -447,8 +523,8 @@ class Remove(UpdateAction):
     def __init__(self, target: Union[str, Path]) -> None:
         self.path = _as_path(target)
 
-    def apply(self, item: dict) -> None:
-        self.path.remove(item)
+    def apply(self, item: dict, owned: Optional[dict] = None) -> int:
+        return self.path.remove(item, owned)
 
 
 class Add(UpdateAction):
@@ -458,21 +534,23 @@ class Add(UpdateAction):
         self.path = _as_path(target)
         self.value = value
 
-    def apply(self, item: dict) -> None:
+    def apply(self, item: dict, owned: Optional[dict] = None
+              ) -> Optional[int]:
         present, current = self.path.get(item)
         if isinstance(self.value, (int, float)) and not isinstance(
                 self.value, bool):
             base = current if present else 0
             if not isinstance(base, (int, float)) or isinstance(base, bool):
                 raise ValidationError(f"ADD to non-number at {self.path}")
-            self.path.set(item, base + self.value)
+            value = base + self.value
         elif isinstance(self.value, (set, frozenset)):
             base = set(current) if present else set()
             if present and not isinstance(current, (set, frozenset)):
                 raise ValidationError(f"ADD set to non-set at {self.path}")
-            self.path.set(item, base | set(self.value))
+            value = base | set(self.value)
         else:
             raise ValidationError("ADD needs a number or a set")
+        return _plus_size(self.path.set(item, value, owned), value)
 
 
 class Delete(UpdateAction):
@@ -484,19 +562,53 @@ class Delete(UpdateAction):
             raise ValidationError("DELETE needs a set")
         self.value = set(value)
 
-    def apply(self, item: dict) -> None:
+    def apply(self, item: dict, owned: Optional[dict] = None
+              ) -> Optional[int]:
         present, current = self.path.get(item)
         if not present:
-            return
+            return 0
         if not isinstance(current, (set, frozenset)):
             raise ValidationError(f"DELETE from non-set at {self.path}")
-        self.path.set(item, set(current) - self.value)
+        value = set(current) - self.value
+        return _plus_size(self.path.set(item, value, owned), value)
+
+
+#: Actions whose ``apply`` supports copy-on-write and size deltas.
+_COW_ACTIONS = (Set, Remove, Add, Delete)
 
 
 def apply_updates(item: dict, updates: Sequence[UpdateAction]) -> None:
     """Apply a sequence of update actions to ``item`` in place."""
     for action in updates:
         action.apply(item)
+
+
+def apply_updates_cow(draft: dict, size: int,
+                      updates: Sequence[UpdateAction]) -> int:
+    """Apply ``updates`` to ``draft`` without changing the stored row.
+
+    ``draft`` is a fresh top-level copy of a stored row (or a new row)
+    whose nested containers may be shared with it, and ``size`` is its
+    ``item_size``. Only containers along each updated path are copied;
+    untouched subtrees stay shared. Returns ``item_size(draft)`` after
+    the updates, from exact per-path deltas where every action reports
+    one and from a full recount otherwise.
+    """
+    owned: Optional[dict] = {}
+    exact: Optional[int] = size
+    for action in updates:
+        if type(action) in _COW_ACTIONS:
+            delta = action.apply(draft, owned)
+        else:
+            # Unknown action: make every container private, then let it
+            # change the draft in place.
+            for name, value in draft.items():
+                draft[name] = copy_value(value)
+            owned = None
+            action.apply(draft)
+            delta = None
+        exact = None if exact is None or delta is None else exact + delta
+    return item_size(draft) if exact is None else exact
 
 
 @dataclass

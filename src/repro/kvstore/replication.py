@@ -66,6 +66,13 @@ Invariants this layer must uphold (see ``docs/architecture.md``):
   declare eventual consistency may touch a follower;
   ``Metering.per_table_eventual`` exists to prove protocol tables never
   appear there.
+- **Rows are shared, never copied.** Stored rows are immutable (see
+  :mod:`repro.kvstore.table`): an update copies only along its paths
+  into a new row. A log record therefore carries the leader's stored
+  ``(row, size)`` entry by reference, and a follower installs that very
+  object with no validate, copy or size step; tombstones remove rows
+  without copying them. The cached size travels with the row and stays
+  the only metering source.
 """
 
 from __future__ import annotations
@@ -89,7 +96,13 @@ from repro.kvstore.store import (
     TransactOp,
     TransactPut,
 )
-from repro.kvstore.table import KeySchema, QueryResult, ScanResult, Table
+from repro.kvstore.table import (
+    KeySchema,
+    QueryResult,
+    RowEntry,
+    ScanResult,
+    Table,
+)
 from repro.sim.latency import LatencyModel
 from repro.sim.randsrc import RandomSource
 
@@ -124,8 +137,8 @@ class _LogRecord:
     seq: int
     kind: str          # _PUT | _DELETE
     table: str
-    item: Optional[dict]   # final row state for _PUT
-    key: Any               # normalized key tuple for _DELETE
+    entry: Optional[RowEntry]  # the leader's stored (row, size) for _PUT
+    key: Any                   # normalized key tuple
 
 
 @dataclass
@@ -397,7 +410,7 @@ class ReplicaGroup:
 
     def _ship_records(self, protos: Sequence[tuple], immediate: bool,
                       batched: bool = False) -> None:
-        """Commit ``protos`` (``(kind, table, item, key)``) to the log.
+        """Commit ``protos`` (``(kind, table, entry, key)``) to the log.
 
         ``batched=False`` reproduces per-record shipping exactly: one
         ``repl.ship`` draw per record per follower, in record order.
@@ -407,9 +420,9 @@ class ReplicaGroup:
         therefore prefix consistency) is preserved by ``last_visible``.
         """
         records = []
-        for kind, table, item, key in protos:
+        for kind, table, entry, key in protos:
             self._next_seq += 1
-            records.append(_LogRecord(self._next_seq, kind, table, item,
+            records.append(_LogRecord(self._next_seq, kind, table, entry,
                                       key))
             self.stats.shipped += 1
         now = self.time.now()
@@ -458,13 +471,15 @@ class ReplicaGroup:
             self._drain(index, now)
 
     def _row_proto(self, table: str, key: Any) -> tuple:
-        """The row's *current leader state*, ready for the log."""
+        """The row's *current leader state*, ready for the log.
+
+        The leader's stored entry itself, not a copy: rows are immutable.
+        """
         leader_table = self.leader._tables[table]
         normalized = leader_table.schema.normalize(key)
-        row = leader_table.get(normalized)
-        if row is None:
-            return (_DELETE, table, None, normalized)
-        return (_PUT, table, row, None)
+        entry = leader_table.row_entry(normalized)
+        return (_DELETE if entry is None else _PUT, table, entry,
+                normalized)
 
     def _ship_row(self, table: str, key: Any, immediate: bool = False
                   ) -> None:
@@ -476,9 +491,9 @@ class ReplicaGroup:
         if table is None:
             return  # table dropped since the record shipped
         if record.kind == _PUT:
-            table.put(dict(record.item))
+            table.install_row(record.key, record.entry)
         else:
-            table.delete(record.key)
+            table.discard(record.key)
 
     def _drain(self, index: int, now: Optional[float] = None) -> None:
         """Apply every record that has shipped to follower ``index``."""
@@ -590,7 +605,8 @@ class ReplicaGroup:
 
     @staticmethod
     def _swap_table_state(a: Table, b: Table) -> None:
-        """Exchange two tables' storage (rows, indexes, sort caches).
+        """Exchange two tables' storage (rows with their cached sizes,
+        indexes, sort caches).
 
         Object identities — and each table's own lock — stay put, so
         references resolved before a failover remain references to the

@@ -26,7 +26,6 @@ from repro.kvstore.errors import (
 )
 from repro.kvstore.expressions import Condition, Projection, UpdateAction
 from repro.kvstore.faults import FaultPolicy, FaultTimeline
-from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
 from repro.kvstore.table import KeySchema, QueryResult, ScanResult, Table
 from repro.sim.kernel import SimKernel
@@ -349,8 +348,7 @@ class KVStore:
         tbl = self.table(table)
         start = self.time.now()
         self._pay("db.read")
-        item = tbl.get(key, projection=projection)
-        nbytes = item_size(item) if item else 0
+        item, nbytes = tbl.get_sized(key, projection=projection)
         self.metering.record_read("read", table, nbytes,
                                   consistency=consistency)
         self._span("read", table, start)
@@ -389,9 +387,9 @@ class KVStore:
         items: list[Optional[dict]] = []
         total_bytes = 0
         for key in keys[:served]:
-            item = tbl.get(key, projection=projection)
+            item, nbytes = tbl.get_sized(key, projection=projection)
             items.append(item)
-            total_bytes += item_size(item) if item else 0
+            total_bytes += nbytes
         items.extend(None for _ in range(len(keys) - served))
         self.metering.record_read("batch_get", table, total_bytes,
                                   items=served, consistency=consistency)
@@ -451,12 +449,10 @@ class KVStore:
         sizes: list[int] = []
         served_puts = min(served, len(puts))
         for item in puts[:served_puts]:
-            tbl.put(item)
-            sizes.append(item_size(item))
+            sizes.append(tbl.put(item))
         served_deletes = served - served_puts
         for key in deletes[:served_deletes]:
-            removed = tbl.delete(key)
-            sizes.append(item_size(removed) if removed else 0)
+            sizes.append(tbl.discard(key))
         self.metering.record_batch_write("batch_write", table, sizes)
         self._span("batch_write", table, start, items=served)
         return BatchWriteResult(
@@ -469,9 +465,9 @@ class KVStore:
         op = "db.cond_write" if condition is not None else "db.write"
         start = self.time.now()
         self._pay(op)
-        tbl.put(item, condition=condition)
+        size = tbl.put(item, condition=condition)
         kind = "cond_write" if condition is not None else "write"
-        self.metering.record_write(kind, table, item_size(item))
+        self.metering.record_write(kind, table, size)
         self._span(kind, table, start)
 
     def update(self, table: str, key: Any,
@@ -481,9 +477,9 @@ class KVStore:
         op = "db.cond_write" if condition is not None else "db.write"
         start = self.time.now()
         self._pay(op)
-        new_item = tbl.update(key, updates, condition=condition)
+        new_item, size = tbl.update_sized(key, updates, condition=condition)
         kind = "cond_write" if condition is not None else "write"
-        self.metering.record_write(kind, table, item_size(new_item))
+        self.metering.record_write(kind, table, size)
         self._span(kind, table, start)
         return new_item
 
@@ -492,9 +488,8 @@ class KVStore:
         tbl = self.table(table)
         start = self.time.now()
         self._pay("db.delete")
-        removed = tbl.delete(key, condition=condition)
-        self.metering.record_write("delete", table,
-                                   item_size(removed) if removed else 0)
+        removed, size = tbl.delete_sized(key, condition=condition)
+        self.metering.record_write("delete", table, size)
         self._span("delete", table, start)
         return removed
 
@@ -543,9 +538,9 @@ class KVStore:
                     consistency: Optional[str] = None) -> list[dict]:
         tbl = self.table(table)
         start = self.time.now()
-        items = tbl.query_index(index_name, value, projection=projection)
+        items, nbytes = tbl.query_index_sized(index_name, value,
+                                              projection=projection)
         self._pay("db.query", units=len(items))
-        nbytes = sum(item_size(it) for it in items)
         self.metering.record_read("query_index", table, nbytes,
                                   items=max(1, len(items)),
                                   consistency=consistency)
@@ -589,12 +584,10 @@ class KVStore:
         across all involved nodes before checking any of them)."""
         for op in ops:
             tbl = self.table(op.table)
-            if isinstance(op, TransactPut):
-                existing = tbl.get(tbl.schema.extract(op.item))
-            else:
-                existing = tbl.get(op.key)
+            entry = tbl.row_entry(tbl.schema.extract(op.item)
+                                  if isinstance(op, TransactPut) else op.key)
             if op.condition is not None and not op.condition.evaluate(
-                    existing):
+                    None if entry is None else entry[0]):
                 raise TransactionCanceled(
                     f"condition failed on {op.table}")
 
@@ -606,12 +599,10 @@ class KVStore:
         for op in ops:
             tbl = self.table(op.table)
             if isinstance(op, TransactPut):
-                tbl.put(op.item, condition=op.condition)
-                total_bytes += item_size(op.item)
+                total_bytes += tbl.put(op.item, condition=op.condition)
             elif isinstance(op, TransactUpdate):
-                new_item = tbl.update(op.key, op.updates,
-                                      condition=op.condition)
-                total_bytes += item_size(new_item)
+                total_bytes += tbl.update_sized(
+                    op.key, op.updates, condition=op.condition)[1]
             else:
                 tbl.delete(op.key, condition=op.condition)
         self.metering.record_write("transact_write", ops[0].table,

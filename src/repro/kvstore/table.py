@@ -5,13 +5,26 @@ partition by an optional **range key**. Every mutation is atomic at item
 granularity — this is the "atomicity scope" Beldi's linked DAAL is built
 around. Conditions are checked and updates applied inside one critical
 section, so concurrent simulated writers observe linearizable rows.
+
+Stored rows are immutable. Each partition entry is a ``(row, size)``
+pair: the row as ingested (validated and deep-copied once, see
+:func:`~repro.kvstore.item.ingest_item`) and its cached
+``item_size``. Nothing mutates a stored row in place: ``update`` builds
+a new row that shares untouched subtrees with the old one and copies
+only the containers along each updated path
+(:func:`~repro.kvstore.expressions.apply_updates_cow`), keeping the
+size exact from per-path deltas. Replicas install the leader's entry
+object itself (:meth:`Table.row_entry` / :meth:`Table.install_row`),
+so followers and replication-log records share the leader's row. The
+cached size is the only source the store meters from; every row handed
+to a caller is a deep copy.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.kvstore.errors import (
     ConditionFailed,
@@ -22,16 +35,33 @@ from repro.kvstore.expressions import (
     Condition,
     Projection,
     UpdateAction,
-    apply_updates,
+    apply_updates_cow,
 )
 from repro.kvstore.item import (
     compare_values,
     copy_item,
+    ingest_item,
     item_size,
-    validate_value,
 )
 
 DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
+
+#: Key attribute values must be hashable scalars.
+_UNKEYABLE = (list, dict, set, frozenset)
+
+#: A stored row and its cached ``item_size``; never mutated.
+RowEntry = tuple[dict, int]
+
+
+def _row(entry: Optional[RowEntry]) -> Optional[dict]:
+    return None if entry is None else entry[0]
+
+
+def _check_key_part(value: Any) -> Any:
+    if isinstance(value, _UNKEYABLE):
+        raise ValidationError(
+            f"key attributes must be scalar, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,13 +74,13 @@ class KeySchema:
     def extract(self, item: dict) -> tuple:
         if self.hash_key not in item:
             raise ValidationError(f"item missing hash key {self.hash_key!r}")
-        hash_value = item[self.hash_key]
+        hash_value = _check_key_part(item[self.hash_key])
         if self.range_key is None:
             return (hash_value,)
         if self.range_key not in item:
             raise ValidationError(
                 f"item missing range key {self.range_key!r}")
-        return (hash_value, item[self.range_key])
+        return (hash_value, _check_key_part(item[self.range_key]))
 
     def key_dict(self, key: tuple) -> dict:
         if self.range_key is None:
@@ -66,11 +96,13 @@ class KeySchema:
             if len(key) != expected:
                 raise ValidationError(
                     f"key tuple must have {expected} parts, got {len(key)}")
+            for part in key:
+                _check_key_part(part)
             return key
         if self.range_key is not None:
             raise ValidationError(
                 "table has a range key; pass a (hash, range) tuple")
-        return (key,)
+        return (_check_key_part(key),)
 
 
 @dataclass
@@ -131,7 +163,9 @@ class Table:
         self.name = name
         self.schema = schema
         self.max_item_bytes = max_item_bytes
-        self._partitions: dict[Any, dict[Any, dict]] = {}
+        #: hash value -> range value (``None`` without a range key) ->
+        #: the stored :data:`RowEntry`.
+        self._partitions: dict[Any, dict[Any, RowEntry]] = {}
         self._indexes: dict[str, _SecondaryIndex] = {}
         self._lock = threading.RLock()
         # Range-key order per partition, maintained incrementally so hot
@@ -144,9 +178,9 @@ class Table:
             if name in self._indexes:
                 raise ValidationError(f"index {name!r} already exists")
             index = _SecondaryIndex(name, attribute)
-            for key, item in self._iter_raw():
-                if attribute in item:
-                    index.insert(key, _hashable_index_value(item[attribute]))
+            for key, (row, _size) in self._iter_raw():
+                if attribute in row:
+                    index.insert(key, _hashable_index_value(row[attribute]))
             self._indexes[name] = index
 
     def _index_remove(self, key: tuple, item: Optional[dict]) -> None:
@@ -166,27 +200,27 @@ class Table:
                     item[index.attribute]))
 
     # -- raw storage helpers --------------------------------------------------
-    def _iter_raw(self) -> Iterable[tuple[tuple, dict]]:
+    def _iter_raw(self) -> Iterable[tuple[tuple, RowEntry]]:
         for hash_value, partition in self._partitions.items():
-            for range_value, item in partition.items():
+            for range_value, entry in partition.items():
                 if self.schema.range_key is None:
-                    yield (hash_value,), item
+                    yield (hash_value,), entry
                 else:
-                    yield (hash_value, range_value), item
+                    yield (hash_value, range_value), entry
 
-    def _get_raw(self, key: tuple) -> Optional[dict]:
+    def _get_raw(self, key: tuple) -> Optional[RowEntry]:
         partition = self._partitions.get(key[0])
         if partition is None:
             return None
         range_value = key[1] if self.schema.range_key is not None else None
         return partition.get(range_value)
 
-    def _put_raw(self, key: tuple, item: dict) -> None:
+    def _put_raw(self, key: tuple, entry: RowEntry) -> None:
         partition = self._partitions.setdefault(key[0], {})
         range_value = key[1] if self.schema.range_key is not None else None
         if range_value not in partition:
             self._sorted_cache.pop(key[0], None)
-        partition[range_value] = item
+        partition[range_value] = entry
 
     def _delete_raw(self, key: tuple) -> None:
         partition = self._partitions.get(key[0])
@@ -199,6 +233,21 @@ class Table:
         if not partition:
             del self._partitions[key[0]]
 
+    def _store(self, key: tuple, existing: Optional[RowEntry],
+               entry: RowEntry) -> None:
+        """Replace ``existing`` (the current entry, or ``None``)."""
+        if existing is not None:
+            self._index_remove(key, existing[0])
+        self._put_raw(key, entry)
+        self._index_insert(key, entry[0])
+
+    def _remove(self, key: tuple) -> Optional[RowEntry]:
+        existing = self._get_raw(key)
+        if existing is not None:
+            self._index_remove(key, existing[0])
+            self._delete_raw(key)
+        return existing
+
     def _sorted_range_keys(self, hash_value: Any) -> list:
         cached = self._sorted_cache.get(hash_value)
         if cached is None:
@@ -207,8 +256,7 @@ class Table:
             self._sorted_cache[hash_value] = cached
         return cached
 
-    def _check_size(self, item: dict) -> None:
-        size = item_size(item)
+    def _check_size(self, size: int) -> None:
         if size > self.max_item_bytes:
             raise ItemTooLarge(
                 f"item of {size} bytes exceeds {self.max_item_bytes} "
@@ -217,29 +265,35 @@ class Table:
     # -- point operations ------------------------------------------------------
     def get(self, key: Any,
             projection: Optional[Projection] = None) -> Optional[dict]:
+        return self.get_sized(key, projection)[0]
+
+    def get_sized(self, key: Any, projection: Optional[Projection] = None
+                  ) -> tuple[Optional[dict], int]:
+        """``get`` plus the metered size of what it returns (0 if absent)."""
         key = self.schema.normalize(key)
         with self._lock:
-            item = self._get_raw(key)
-            if item is None:
-                return None
+            entry = self._get_raw(key)
+            if entry is None:
+                return None, 0
+            row, size = entry
             if projection is not None:
-                return projection.apply(item)
-            return copy_item(item)
+                projected = projection.apply(row)
+                return projected, item_size(projected)
+            return copy_item(row), size
 
-    def put(self, item: dict, condition: Optional[Condition] = None) -> None:
-        for value in item.values():
-            validate_value(value)
+    def put(self, item: dict, condition: Optional[Condition] = None) -> int:
+        """Store a private copy of ``item``; returns its size in bytes."""
+        row, size = ingest_item(item)
         key = self.schema.extract(item)
         with self._lock:
             existing = self._get_raw(key)
-            if condition is not None and not condition.evaluate(existing):
+            if condition is not None and not condition.evaluate(
+                    _row(existing)):
                 raise ConditionFailed(
                     f"put condition failed on {self.name}:{key}")
-            new_item = copy_item(item)
-            self._check_size(new_item)
-            self._index_remove(key, existing)
-            self._put_raw(key, new_item)
-            self._index_insert(key, new_item)
+            self._check_size(size)
+            self._store(key, existing, (row, size))
+        return size
 
     def update(self, key: Any, updates: Sequence[UpdateAction],
                condition: Optional[Condition] = None) -> dict:
@@ -248,41 +302,82 @@ class Table:
         Creates the item (with just its key attributes) when absent,
         matching DynamoDB ``UpdateItem`` semantics. Returns the new item.
         """
+        return self.update_sized(key, updates, condition)[0]
+
+    def update_sized(self, key: Any, updates: Sequence[UpdateAction],
+                     condition: Optional[Condition] = None
+                     ) -> tuple[dict, int]:
+        """``update`` plus the new row's size in bytes."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
-            if condition is not None and not condition.evaluate(existing):
+            if condition is not None and not condition.evaluate(
+                    _row(existing)):
                 raise ConditionFailed(
                     f"update condition failed on {self.name}:{key}")
+            key_attributes = self.schema.key_dict(key)
             if existing is None:
-                draft = self.schema.key_dict(key)
+                draft = dict(key_attributes)
+                size = item_size(draft)
             else:
-                draft = copy_item(existing)
-            apply_updates(draft, updates)
-            for name in (self.schema.hash_key, self.schema.range_key):
-                if name is not None and draft.get(name) != dict(
-                        self.schema.key_dict(key)).get(name):
+                draft, size = dict(existing[0]), existing[1]
+            size = apply_updates_cow(draft, size, updates)
+            for name, value in key_attributes.items():
+                if draft.get(name) != value:
                     raise ValidationError(
                         f"update may not modify key attribute {name!r}")
-            self._check_size(draft)
-            self._index_remove(key, existing)
-            self._put_raw(key, draft)
-            self._index_insert(key, draft)
-            return copy_item(draft)
+            self._check_size(size)
+            self._store(key, existing, (draft, size))
+            return copy_item(draft), size
 
     def delete(self, key: Any,
                condition: Optional[Condition] = None) -> Optional[dict]:
+        return self.delete_sized(key, condition)[0]
+
+    def delete_sized(self, key: Any, condition: Optional[Condition] = None
+                     ) -> tuple[Optional[dict], int]:
+        """``delete`` plus the removed row's size (0 if absent)."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
-            if condition is not None and not condition.evaluate(existing):
+            if condition is not None and not condition.evaluate(
+                    _row(existing)):
                 raise ConditionFailed(
                     f"delete condition failed on {self.name}:{key}")
             if existing is None:
-                return None
-            self._index_remove(key, existing)
-            self._delete_raw(key)
-            return copy_item(existing)
+                return None, 0
+            self._remove(key)
+            return copy_item(existing[0]), existing[1]
+
+    def discard(self, key: Any) -> int:
+        """Unconditional delete that copies nothing.
+
+        Returns the removed row's size (0 if absent).
+        """
+        key = self.schema.normalize(key)
+        with self._lock:
+            removed = self._remove(key)
+        return 0 if removed is None else removed[1]
+
+    # -- shared rows (replication) ---------------------------------------------
+    def row_entry(self, key: Any) -> Optional[RowEntry]:
+        """The stored ``(row, size)`` for ``key`` itself, not a copy.
+
+        The row is immutable: holders may keep and share it, and must
+        never change it.
+        """
+        key = self.schema.normalize(key)
+        with self._lock:
+            return self._get_raw(key)
+
+    def install_row(self, key: tuple, entry: RowEntry) -> None:
+        """Store another table's :meth:`row_entry` as is.
+
+        A follower applying its leader's row: no validate, copy or size
+        step. ``key`` must be the normalized key of ``entry``'s row.
+        """
+        with self._lock:
+            self._store(key, self._get_raw(key), entry)
 
     # -- queries and scans -------------------------------------------------------
     def query(self, hash_value: Any,
@@ -303,8 +398,7 @@ class Table:
                     range_keys = list(reversed(range_keys))
                 ordered = [partition[rk] for rk in range_keys]
             return self._page(ordered, range_condition, filter_condition,
-                              projection, limit, exclusive_start,
-                              key_of=lambda it: self.schema.extract(it))
+                              projection, limit, exclusive_start)
 
     def scan(self, filter_condition: Optional[Condition] = None,
              projection: Optional[Projection] = None,
@@ -316,21 +410,21 @@ class Table:
         (Appendix A, ``LastEvaluatedKey``) depends on that, so we mimic it.
         """
         with self._lock:
-            ordered = [item for _key, item in
+            ordered = [entry for _key, entry in
                        sorted(self._iter_raw(),
                               key=lambda kv: _sort_token_tuple(kv[0]))]
             return self._page(ordered, None, filter_condition, projection,
-                              limit, exclusive_start,
-                              key_of=lambda it: self.schema.extract(it))
+                              limit, exclusive_start)
 
-    def _page(self, ordered: list, range_condition: Optional[Condition],
+    def _page(self, ordered: list[RowEntry],
+              range_condition: Optional[Condition],
               filter_condition: Optional[Condition],
               projection: Optional[Projection], limit: Optional[int],
-              exclusive_start: Optional[Any],
-              key_of: Callable[[dict], tuple]) -> QueryResult:
+              exclusive_start: Optional[Any]) -> QueryResult:
+        key_of = self.schema.extract
         start_index = 0
         if exclusive_start is not None:
-            for i, item in enumerate(ordered):
+            for i, (item, _size) in enumerate(ordered):
                 if key_of(item) == tuple(exclusive_start):
                     start_index = i + 1
                     break
@@ -340,7 +434,7 @@ class Table:
         scanned = 0
         consumed = 0
         last_key: Optional[tuple] = None
-        for item in ordered[start_index:]:
+        for item, size in ordered[start_index:]:
             if limit is not None and scanned >= limit:
                 break
             scanned += 1
@@ -356,7 +450,7 @@ class Table:
                 consumed += item_size(out)
                 items.append(out)
             else:
-                consumed += item_size(item)
+                consumed += size
                 items.append(copy_item(item))
         exhausted = (limit is None or scanned < limit
                      or start_index + scanned >= len(ordered))
@@ -369,21 +463,32 @@ class Table:
     def query_index(self, index_name: str, value: Any,
                     projection: Optional[Projection] = None) -> list[dict]:
         """All items whose indexed attribute equals ``value``."""
+        return self.query_index_sized(index_name, value, projection)[0]
+
+    def query_index_sized(self, index_name: str, value: Any,
+                          projection: Optional[Projection] = None
+                          ) -> tuple[list[dict], int]:
+        """``query_index`` plus the total size of the returned items."""
         with self._lock:
             index = self._indexes.get(index_name)
             if index is None:
                 raise ValidationError(f"no index named {index_name!r}")
             keys = sorted(index.lookup(value), key=_sort_token_tuple)
             results = []
+            total = 0
             for key in keys:
-                item = self._get_raw(key)
-                if item is None:
+                entry = self._get_raw(key)
+                if entry is None:
                     continue
+                row, size = entry
                 if projection is not None:
-                    results.append(projection.apply(item))
+                    projected = projection.apply(row)
+                    results.append(projected)
+                    total += item_size(projected)
                 else:
-                    results.append(copy_item(item))
-            return results
+                    results.append(copy_item(row))
+                    total += size
+            return results, total
 
     # -- stats -----------------------------------------------------------------
     def item_count(self) -> int:
@@ -392,7 +497,7 @@ class Table:
 
     def storage_bytes(self) -> int:
         with self._lock:
-            return sum(item_size(item) for _k, item in self._iter_raw())
+            return sum(size for _key, (_row, size) in self._iter_raw())
 
 
 def _sort_token(value: Any) -> tuple:

@@ -67,6 +67,24 @@ class TestPutGet:
         with pytest.raises(ValidationError):
             composite.get("k")
 
+    def test_non_str_attribute_name_rejected(self, simple):
+        with pytest.raises(ValidationError):
+            simple.put({"Key": "a", 5: 1})
+        assert simple.get("a") is None
+
+    @pytest.mark.parametrize("part", [[1], {"x": 1}, {1}, frozenset({1})])
+    def test_container_key_parts_rejected(self, simple, composite, part):
+        with pytest.raises(ValidationError):
+            simple.put({"Key": part})
+        with pytest.raises(ValidationError):
+            simple.get(part)
+        with pytest.raises(ValidationError):
+            simple.delete((part,))
+        with pytest.raises(ValidationError):
+            composite.put({"Key": "k", "RowId": part})
+        with pytest.raises(ValidationError):
+            composite.update(("k", part), [Set("V", 1)])
+
 
 class TestConditionalOps:
     def test_conditional_put_insert_once(self, simple):
